@@ -65,9 +65,9 @@ func main() {
 		peers         = flag.String("peers", "", "comma-separated URLs of the other workers (cluster mode, advertised on GET /api/cluster/members)")
 
 		storeDir      = flag.String("store-dir", "", "persist snippets to this event-store directory (replayed on restart)")
-		storeHot      = flag.Int("store-hot-chunks", 0, "tiered storage: sealed chunks kept fully resident in memory; setting any -store-* tier flag enables the tiered hot/warm/cold layout (0 = default 4, requires -store-dir)")
-		storeWarm     = flag.Int("store-warm-mmap", 0, "tiered storage: sealed chunks kept mmap'd read-only behind the hot tier (0 = default 16)")
-		storeColdComp = flag.Bool("store-cold-compress", true, "tiered storage: gzip-compress chunks demoted to the cold tier")
+		storeHot      = flag.Int("store-hot-chunks", 0, "store tier tuning: sealed chunks kept fully resident in memory (0 = default 4, requires -store-dir)")
+		storeWarm     = flag.Int("store-warm-mmap", 0, "store tier tuning: sealed chunks kept mmap'd read-only behind the hot tier (0 = default 16)")
+		storeColdComp = flag.Bool("store-cold-compress", true, "store tier tuning: gzip-compress chunks demoted to the cold tier")
 
 		window            = flag.Duration("window", 0, "story retirement window W of event time: stories with no new evidence for W are archived and evicted, bounding resident memory (0 = retirement disabled); tune live via PUT /api/admin/window")
 		retireDir         = flag.String("retire-dir", "", "cold-story archive directory (required when -window > 0)")
@@ -77,20 +77,6 @@ func main() {
 	var ff feedFlags
 	registerFeedFlags(&ff)
 	flag.Parse()
-
-	// Tiered storage engages when any tier flag is given explicitly, so
-	// the plain -store-dir flat layout stays the default (and the
-	// baseline the scale benchmarks compare against).
-	tiered := false
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "store-hot-chunks", "store-warm-mmap", "store-cold-compress":
-			tiered = true
-		}
-	})
-	if tiered && *storeDir == "" {
-		log.Fatal("-store-hot-chunks/-store-warm-mmap/-store-cold-compress require -store-dir")
-	}
 
 	// Watch for SIGINT/SIGTERM from here on: the drain path below owns
 	// process exit, so nothing may log.Fatal once the listener is up.
@@ -127,10 +113,8 @@ func main() {
 		// directory before the old one closes; mutations serialize on the
 		// server's write lock and the tier manifest self-heals at open,
 		// the same overlap -retire-dir already lives with.
-		opts = append(opts, storypivot.WithStorage(*storeDir))
-		if tiered {
-			opts = append(opts, storypivot.WithTieredStorage(*storeHot, *storeWarm, *storeColdComp))
-		}
+		opts = append(opts, storypivot.WithStorage(*storeDir),
+			storypivot.WithTieredStorage(*storeHot, *storeWarm, *storeColdComp))
 	}
 	if *window > 0 {
 		opts = append(opts,

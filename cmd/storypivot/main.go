@@ -42,9 +42,9 @@ func main() {
 		storeDir  = flag.String("store", "", "persist snippets to this event-store directory")
 		storeDir2 = flag.String("store-dir", "", "alias for -store (matches the server binary's flag)")
 
-		storeHot      = flag.Int("store-hot-chunks", 0, "tiered storage: sealed chunks kept fully resident in memory; setting any -store-* tier flag enables the tiered hot/warm/cold layout (0 = default 4, requires -store)")
-		storeWarm     = flag.Int("store-warm-mmap", 0, "tiered storage: sealed chunks kept mmap'd read-only behind the hot tier (0 = default 16)")
-		storeColdComp = flag.Bool("store-cold-compress", true, "tiered storage: gzip-compress chunks demoted to the cold tier")
+		storeHot      = flag.Int("store-hot-chunks", 0, "store tier tuning: sealed chunks kept fully resident in memory (0 = default 4, requires -store)")
+		storeWarm     = flag.Int("store-warm-mmap", 0, "store tier tuning: sealed chunks kept mmap'd read-only behind the hot tier (0 = default 16)")
+		storeColdComp = flag.Bool("store-cold-compress", true, "store tier tuning: gzip-compress chunks demoted to the cold tier")
 		topK          = flag.Int("top", 10, "number of integrated stories to print")
 		profiles      = flag.Bool("profiles", false, "print per-source reporting profiles")
 		trending      = flag.Bool("trending", false, "print trending stories at the corpus end")
@@ -81,20 +81,9 @@ func main() {
 	if dir == "" {
 		dir = *storeDir2
 	}
-	tiered := false
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "store-hot-chunks", "store-warm-mmap", "store-cold-compress":
-			tiered = true
-		}
-	})
 	if dir != "" {
-		opts = append(opts, storypivot.WithStorage(dir))
-		if tiered {
-			opts = append(opts, storypivot.WithTieredStorage(*storeHot, *storeWarm, *storeColdComp))
-		}
-	} else if tiered {
-		log.Fatal("-store-hot-chunks/-store-warm-mmap/-store-cold-compress require -store")
+		opts = append(opts, storypivot.WithStorage(dir),
+			storypivot.WithTieredStorage(*storeHot, *storeWarm, *storeColdComp))
 	}
 	if *retireWindow > 0 {
 		opts = append(opts, storypivot.WithRetireWindow(*retireWindow))

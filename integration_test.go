@@ -165,19 +165,20 @@ func TestPipelineSurvivesCorruptStoreTail(t *testing.T) {
 	p.IngestAll(corpus.Snippets)
 	p.Close()
 
-	// Append garbage to the newest segment.
-	entries, err := os.ReadDir(dir)
+	// Append garbage to the newest (open) chunk.
+	cdir := filepath.Join(dir, "chunks")
+	entries, err := os.ReadDir(cdir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var seg string
 	for _, e := range entries {
 		if filepath.Ext(e.Name()) == ".log" {
-			seg = filepath.Join(dir, e.Name())
+			seg = filepath.Join(cdir, e.Name())
 		}
 	}
 	if seg == "" {
-		t.Fatal("no segment file")
+		t.Fatal("no chunk file")
 	}
 	f, err := os.OpenFile(seg, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {

@@ -26,7 +26,7 @@ type SnippetView struct {
 }
 
 // snippetTexter hydrates display text for snippets whose resident copy
-// carries none (tiered storage strips it); *storypivot.Pipeline
+// carries none (the event store strips it); *storypivot.Pipeline
 // implements it. A nil reader renders the snippet as-is.
 type snippetTexter interface {
 	SnippetText(id event.SnippetID) (text, document string, ok bool)

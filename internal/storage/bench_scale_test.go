@@ -13,11 +13,10 @@ import (
 )
 
 // The GDELT-scale benchmarks ingest 1M/5M/10M synthetic snippets into
-// the tiered store and the flat (fully resident) store and report the
-// Go heap after ingest plus the random-read latency over the full ID
-// space. The acceptance criterion is the shape, not the absolute
-// numbers: tiered heap must stay flat from 1M to 10M while flat-store
-// heap grows linearly.
+// the tiered store and report the Go heap after ingest plus the
+// random-read latency over the full ID space. The acceptance criterion
+// is the shape, not the absolute numbers: the heap must stay flat from
+// 1M to 10M.
 //
 // heap_MB is runtime.ReadMemStats HeapAlloc after a forced GC. Warm
 // chunks are mmap'd, so their bytes are deliberately outside this
@@ -67,7 +66,7 @@ func heapMB() float64 {
 	return float64(ms.HeapAlloc) / (1 << 20)
 }
 
-func benchScale(b *testing.B, n int, tier *TierOptions) {
+func benchScale(b *testing.B, n int, tier TierOptions) {
 	t0 := time.Date(2014, 1, 1, 0, 0, 0, 0, time.UTC)
 	for i := 0; i < b.N; i++ {
 		dir := b.TempDir()
@@ -88,9 +87,8 @@ func benchScale(b *testing.B, n int, tier *TierOptions) {
 		b.ReportMetric(before, "heap_base_MB")
 
 		// Random reads across the whole ID space: cold faults, LRU
-		// churn, and promotions for the tiered arm; map lookups for the
-		// flat arm. The stride jumps chunks so the tiered p99 is the
-		// cold-read path (inflate + decode), not a hot-tier hit.
+		// churn, and promotions. The stride jumps chunks so the p99 is
+		// the cold-read path (inflate + decode), not a hot-tier hit.
 		const probes = 2000
 		lats := make([]float64, probes)
 		stride := uint64(n)/probes*7 + 1
@@ -111,11 +109,10 @@ func benchScale(b *testing.B, n int, tier *TierOptions) {
 		b.ReportMetric(float64(total.Microseconds())/probes, "read_us")
 		b.ReportMetric(lats[probes/2], "read_p50_us")
 		b.ReportMetric(lats[probes*99/100], "read_p99_us")
-		if ts, ok := st.TierStats(); ok {
-			b.ReportMetric(float64(ts.Hot), "hot_chunks")
-			b.ReportMetric(float64(ts.Warm), "warm_chunks")
-			b.ReportMetric(float64(ts.Cold), "cold_chunks")
-		}
+		ts, _ := st.TierStats()
+		b.ReportMetric(float64(ts.Hot), "hot_chunks")
+		b.ReportMetric(float64(ts.Warm), "warm_chunks")
+		b.ReportMetric(float64(ts.Cold), "cold_chunks")
 		if err := st.Close(); err != nil {
 			b.Fatal(err)
 		}
@@ -127,11 +124,8 @@ func benchScale(b *testing.B, n int, tier *TierOptions) {
 // O(1), so rows-per-chunk sets the heap slope — 16384 rows keeps the
 // 10M-row metadata tail well under the fixed hot-tier footprint (the
 // 4096 default is tuned for interactive demo corpora instead).
-func scaleTier() *TierOptions { return &TierOptions{ChunkRows: 16384, Compress: true} }
+func scaleTier() TierOptions { return TierOptions{ChunkRows: 16384, Compress: true} }
 
 func BenchmarkScaleTiered1M(b *testing.B)  { benchScale(b, scaleBase(), scaleTier()) }
 func BenchmarkScaleTiered5M(b *testing.B)  { benchScale(b, 5*scaleBase(), scaleTier()) }
 func BenchmarkScaleTiered10M(b *testing.B) { benchScale(b, 10*scaleBase(), scaleTier()) }
-func BenchmarkScaleFlat1M(b *testing.B)    { benchScale(b, scaleBase(), nil) }
-func BenchmarkScaleFlat5M(b *testing.B)    { benchScale(b, 5*scaleBase(), nil) }
-func BenchmarkScaleFlat10M(b *testing.B)   { benchScale(b, 10*scaleBase(), nil) }

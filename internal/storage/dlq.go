@@ -29,17 +29,17 @@ type DLQEntry struct {
 	Raw    []byte    // the offending bytes, verbatim
 }
 
+// dlqSegLimit rotates DLQ segments past this size, matching the
+// archive. Without rotation one misbehaving upstream grows a single
+// unbounded file whose full rescan every open pays for.
+const dlqSegLimit = 64 << 20
+
 // DLQ is an append-only, crash-safe dead-letter queue. Entries use the
 // same CRC-framed record layout as the event log, so torn tails from a
 // crash are truncated on open rather than poisoning recovery. Appends
 // are fsynced: a dead-lettered record is evidence of a misbehaving
 // upstream, and losing it to a crash defeats its purpose. A DLQ is safe
 // for concurrent use.
-// dlqSegLimit rotates DLQ segments past this size, matching the event
-// log and archive. Without rotation one misbehaving upstream grows a
-// single unbounded file whose full rescan every open pays for.
-const dlqSegLimit = 64 << 20
-
 type DLQ struct {
 	mu       sync.Mutex
 	dir      string

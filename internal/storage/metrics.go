@@ -2,8 +2,8 @@ package storage
 
 import "repro/internal/obs"
 
-// Event-store instrumentation: append/replay/compaction throughput and
-// the recovery counters that back Store.RecoveryWarnings.
+// Event-store instrumentation: append throughput and the recovery
+// counters that back Store.RecoveryWarnings.
 var (
 	metAppends = obs.GetCounter("storypivot_storage_appends_total",
 		"snippets appended to the event log")
@@ -13,16 +13,12 @@ var (
 		"per-snippet append latency (encode, write, policy sync)")
 	metSyncs = obs.GetCounter("storypivot_storage_syncs_total",
 		"fsyncs issued by the durability policy")
-	metRotations = obs.GetCounter("storypivot_storage_rotations_total",
-		"segment rotations")
-	metCompactions = obs.GetCounter("storypivot_storage_compactions_total",
-		"segment compactions completed")
 	metOpenLat = obs.GetHistogram("storypivot_storage_open_seconds",
-		"store open latency including full replay")
+		"store open latency including chunk recovery and legacy import")
 	metReplayed = obs.GetCounter("storypivot_storage_replayed_records_total",
-		"records replayed from segments at open")
+		"records replayed from legacy segments at open")
 	metReplayCorrupt = obs.GetCounter("storypivot_storage_replay_corrupt_records_total",
 		"well-framed records skipped at replay because their payload failed to decode")
 	metReplayTornBytes = obs.GetCounter("storypivot_storage_replay_torn_bytes_total",
-		"torn-tail bytes truncated from segments at replay")
+		"torn-tail bytes truncated from chunks and legacy segments at open")
 )

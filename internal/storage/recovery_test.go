@@ -8,6 +8,26 @@ import (
 	"repro/internal/event"
 )
 
+// The recovery-warning tests drive the legacy import path: a migrated
+// directory keeps its flat-era seg-*.log files next to the chunks, and
+// every open rescans them. Import skips the records the chunks already
+// hold, so any finding on a reopen comes from the corruption alone.
+
+// appendToSegment appends raw bytes to a legacy segment file.
+func appendToSegment(t *testing.T, dir string, idx int, data ...[]byte) {
+	t.Helper()
+	f, err := os.OpenFile(segmentPath(dir, idx), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	for _, d := range data {
+		if _, err := f.Write(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestRecoveryWarningsTornTail checks that a torn final record is not
 // just silently truncated: the open must report what it dropped through
 // both RecoveredDrop and the warning list.
@@ -20,22 +40,19 @@ func TestRecoveryWarningsTornTail(t *testing.T) {
 	if got := st.RecoveryWarnings(); len(got) != 0 {
 		t.Fatalf("fresh store has warnings: %v", got)
 	}
+	var sns []*event.Snippet
 	for i := 1; i <= 3; i++ {
-		if err := st.Append(snip(event.SnippetID(i), "nyt", i, "UKR")); err != nil {
+		sn := snip(event.SnippetID(i), "nyt", i, "UKR")
+		sns = append(sns, sn)
+		if err := st.Append(sn); err != nil {
 			t.Fatal(err)
 		}
 	}
 	st.Close()
 
-	segs, _ := listSegments(dir)
-	path := segmentPath(dir, segs[len(segs)-1])
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	writeLegacySegment(t, dir, 1, sns...)
 	frame := appendRecord(nil, event.Encode(snip(4, "nyt", 4, "UKR")))
-	f.Write(frame[:len(frame)-5]) // crash mid-write
-	f.Close()
+	appendToSegment(t, dir, 1, frame[:len(frame)-5]) // crash mid-write
 
 	st2, err := Open(dir, Options{})
 	if err != nil {
@@ -62,35 +79,37 @@ func TestRecoveryWarningsTornTail(t *testing.T) {
 // TestRecoveryWarningsUndecodableRecord covers the logical-corruption
 // path: a record whose frame (magic, length, CRC) is intact but whose
 // payload is not a snippet. Unlike a torn tail this is not a crash
-// artefact, so the store must keep everything after it, skip just the
-// bad record, and say so.
+// artefact, so the import must keep scanning past it, skip just the bad
+// record, and say so.
 func TestRecoveryWarningsUndecodableRecord(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Append(snip(1, "nyt", 1, "UKR")); err != nil {
-		t.Fatal(err)
+	s1, s2 := snip(1, "nyt", 1, "UKR"), snip(2, "nyt", 2, "UKR")
+	for _, sn := range []*event.Snippet{s1, s2} {
+		if err := st.Append(sn); err != nil {
+			t.Fatal(err)
+		}
 	}
 	st.Close()
 
 	// Splice a well-framed garbage record between two valid ones.
-	segs, _ := listSegments(dir)
-	path := segmentPath(dir, segs[len(segs)-1])
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Write(appendRecord(nil, []byte("not a snippet payload")))
-	f.Write(appendRecord(nil, event.Encode(snip(2, "nyt", 2, "UKR"))))
-	f.Close()
+	writeLegacySegment(t, dir, 1, s1)
+	appendToSegment(t, dir, 1,
+		appendRecord(nil, []byte("not a snippet payload")),
+		appendRecord(nil, event.Encode(s2)))
 
+	replayed := metReplayed.Value()
 	st2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatalf("open failed on logically corrupt record: %v", err)
 	}
 	defer st2.Close()
+	if got := metReplayed.Value() - replayed; got != 3 {
+		t.Fatalf("import scanned %d records, want 3 (it must read past the bad one)", got)
+	}
 	if st2.Len() != 2 {
 		t.Fatalf("Len = %d, want 2 (records after the bad one must survive)", st2.Len())
 	}
@@ -114,21 +133,17 @@ func TestRecoveryWarningsBothKinds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Append(snip(1, "nyt", 1, "UKR")); err != nil {
+	s1 := snip(1, "nyt", 1, "UKR")
+	if err := st.Append(s1); err != nil {
 		t.Fatal(err)
 	}
 	st.Close()
 
-	segs, _ := listSegments(dir)
-	path := segmentPath(dir, segs[len(segs)-1])
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Write(appendRecord(nil, []byte{0xde, 0xad, 0xbe, 0xef}))
+	writeLegacySegment(t, dir, 1, s1)
 	frame := appendRecord(nil, event.Encode(snip(2, "nyt", 2, "UKR")))
-	f.Write(frame[:len(frame)-1])
-	f.Close()
+	appendToSegment(t, dir, 1,
+		appendRecord(nil, []byte{0xde, 0xad, 0xbe, 0xef}),
+		frame[:len(frame)-1])
 
 	st2, err := Open(dir, Options{})
 	if err != nil {

@@ -13,8 +13,10 @@ import (
 )
 
 // segment is one append-only log file. Segments are named
-// seg-<8-digit-index>.log and rotated when they exceed the store's segment
-// size limit. Only the newest segment is open for writing.
+// seg-<8-digit-index>.log and rotated by their owner (the archive, the
+// DLQ) past its size limit. Only the newest segment is open for writing.
+// The event store only reads segments, importing those a pre-chunk
+// store left behind.
 type segment struct {
 	index int
 	path  string

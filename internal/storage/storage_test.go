@@ -109,32 +109,13 @@ func TestStoreAppendAndIndexes(t *testing.T) {
 	if len(srcs) != 2 || srcs[0] != "nyt" || srcs[1] != "wsj" {
 		t.Fatalf("Sources = %v", srcs)
 	}
-	if got := st.BySource("nyt"); len(got) != 2 {
-		t.Fatalf("BySource(nyt) = %d", len(got))
-	}
-	if got := st.ByEntity("UKR"); len(got) != 2 || got[0].ID != 1 {
-		t.Fatalf("ByEntity(UKR) = %v", got)
-	}
-	// Chronological scan despite out-of-order append.
+	// Chronological order despite out-of-order append.
 	var ids []event.SnippetID
-	st.ScanRange(day(1), day(30), func(s *event.Snippet) bool {
+	for _, s := range st.All() {
 		ids = append(ids, s.ID)
-		return true
-	})
+	}
 	if len(ids) != 3 || ids[0] != 3 || ids[1] != 1 || ids[2] != 2 {
-		t.Fatalf("ScanRange order = %v", ids)
-	}
-	// Early stop.
-	count := 0
-	st.ScanRange(day(1), day(30), func(*event.Snippet) bool { count++; return false })
-	if count != 1 {
-		t.Fatalf("early stop visited %d", count)
-	}
-	// Bounded range.
-	count = 0
-	st.ScanRange(day(17), day(17), func(*event.Snippet) bool { count++; return true })
-	if count != 1 {
-		t.Fatalf("bounded range visited %d", count)
+		t.Fatalf("All order = %v", ids)
 	}
 }
 
@@ -197,11 +178,11 @@ func TestStoreTornTailRecovery(t *testing.T) {
 	for i := 1; i <= 5; i++ {
 		st.Append(snip(event.SnippetID(i), "nyt", i, "UKR"))
 	}
+	path := chunkRawPath(filepath.Join(dir, "chunks"), st.tier.open.index)
 	st.Close()
 
-	// Simulate a crash mid-write: append garbage + a truncated frame.
-	segs, _ := listSegments(dir)
-	path := segmentPath(dir, segs[len(segs)-1])
+	// Simulate a crash mid-write: append a truncated frame to the open
+	// chunk.
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -233,36 +214,6 @@ func TestStoreTornTailRecovery(t *testing.T) {
 	defer st3.Close()
 	if st3.Len() != 6 {
 		t.Fatalf("after re-append Len = %d, want 6", st3.Len())
-	}
-}
-
-func TestStoreSegmentRotation(t *testing.T) {
-	dir := t.TempDir()
-	st, err := Open(dir, Options{SegmentSize: 256}) // tiny segments
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 50; i++ {
-		if err := st.Append(snip(event.SnippetID(i), "nyt", i%28+1, "UKR")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st.Close()
-	segs, err := listSegments(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(segs) < 2 {
-		t.Fatalf("expected rotation, got %d segments", len(segs))
-	}
-	// Everything still recoverable across segments.
-	st2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	if st2.Len() != 50 {
-		t.Fatalf("recovered %d snippets across segments, want 50", st2.Len())
 	}
 }
 
@@ -326,8 +277,8 @@ func TestStoreConcurrentAppendAndRead(t *testing.T) {
 	for g := 0; g < 4; g++ {
 		go func() {
 			for i := 0; i < 100; i++ {
-				st.ScanRange(day(1), day(28), func(*event.Snippet) bool { return true })
-				st.ByEntity("UKR")
+				st.All()
+				st.Get(event.SnippetID(i + 1))
 			}
 			done <- nil
 		}()
@@ -370,105 +321,35 @@ func TestListSegmentsIgnoresForeignFiles(t *testing.T) {
 	}
 }
 
-func TestCompactCoalescesSegments(t *testing.T) {
+// TestReplaySkipsDuplicateRecords covers legacy import idempotency: the
+// same record in two flat-era segments is stored once, and reopening
+// imports nothing again.
+func TestReplaySkipsDuplicateRecords(t *testing.T) {
 	dir := t.TempDir()
-	st, err := Open(dir, Options{SegmentSize: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 60; i++ {
-		if err := st.Append(snip(event.SnippetID(i), "nyt", i%28+1, "UKR")); err != nil {
+	writeLegacySegment(t, dir, 1, snip(1, "nyt", 1, "UKR"))
+	writeLegacySegment(t, dir, 2, snip(1, "nyt", 1, "UKR"))
+	for open := 0; open < 2; open++ {
+		st, err := Open(dir, Options{})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	before, _ := st.SegmentCount()
-	if before < 3 {
-		t.Skipf("only %d segments; rotation config too large", before)
-	}
-	if err := st.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	after, _ := st.SegmentCount()
-	if after != 2 { // one compacted sealed + one active
-		t.Fatalf("segments after compact = %d, want 2 (was %d)", after, before)
-	}
-	// Everything still readable after reopen.
-	st.Close()
-	st2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	if st2.Len() != 60 {
-		t.Fatalf("recovered %d snippets after compaction, want 60", st2.Len())
-	}
-	// Appends continue normally.
-	if err := st2.Append(snip(61, "nyt", 5, "UKR")); err != nil {
-		t.Fatal(err)
+		if st.Len() != 1 {
+			t.Fatalf("open %d: Len with duplicated segments = %d, want 1", open, st.Len())
+		}
+		st.Close()
 	}
 }
 
-func TestCompactNoopOnSingleSegment(t *testing.T) {
-	st, err := Open(t.TempDir(), Options{})
-	if err != nil {
+// writeLegacySegment writes a flat-era seg-*.log holding the snippets,
+// framed exactly as the pre-chunk store wrote them.
+func writeLegacySegment(t *testing.T, dir string, idx int, sns ...*event.Snippet) {
+	t.Helper()
+	var buf []byte
+	for _, sn := range sns {
+		buf = appendRecord(buf, event.Encode(sn))
+	}
+	if err := os.WriteFile(segmentPath(dir, idx), buf, 0o644); err != nil {
 		t.Fatal(err)
-	}
-	defer st.Close()
-	st.Append(snip(1, "nyt", 1, "UKR"))
-	if err := st.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	n, _ := st.SegmentCount()
-	if n != 1 {
-		t.Fatalf("segments = %d", n)
-	}
-}
-
-func TestCompactClosedStore(t *testing.T) {
-	st, _ := Open(t.TempDir(), Options{})
-	st.Close()
-	if err := st.Compact(); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Compact on closed store: %v", err)
-	}
-}
-
-func TestReplaySkipsDuplicateRecords(t *testing.T) {
-	// Simulate the crash window: the same record present in two segments.
-	dir := t.TempDir()
-	st, _ := Open(dir, Options{})
-	st.Append(snip(1, "nyt", 1, "UKR"))
-	st.Close()
-	// Duplicate segment 1's content into a new segment 2.
-	data, err := os.ReadFile(segmentPath(dir, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(segmentPath(dir, 2), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	st2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	if st2.Len() != 1 {
-		t.Fatalf("Len with duplicated segments = %d, want 1", st2.Len())
-	}
-}
-
-func TestIterate(t *testing.T) {
-	st, _ := Open(t.TempDir(), Options{})
-	defer st.Close()
-	for i := 1; i <= 5; i++ {
-		st.Append(snip(event.SnippetID(i), "nyt", i, "UKR"))
-	}
-	var got []event.SnippetID
-	st.Iterate(func(s *event.Snippet) bool {
-		got = append(got, s.ID)
-		return len(got) < 3
-	})
-	if len(got) != 3 || got[0] != 1 || got[2] != 3 {
-		t.Fatalf("Iterate = %v", got)
 	}
 }
 
@@ -481,7 +362,7 @@ func TestStoreQuickRoundTrip(t *testing.T) {
 		}
 		rng := rand.New(rand.NewSource(seed))
 		dir := t.TempDir()
-		st, err := Open(dir, Options{SegmentSize: 512})
+		st, err := Open(dir, Options{Tier: TierOptions{ChunkRows: 4}})
 		if err != nil {
 			return false
 		}
@@ -533,36 +414,5 @@ func TestStoreAll(t *testing.T) {
 	all := st.All()
 	if len(all) != 2 || all[0].ID != 1 || all[1].ID != 2 {
 		t.Fatalf("All = %v", all)
-	}
-}
-
-func TestCompactConcurrentWithAppends(t *testing.T) {
-	dir := t.TempDir()
-	st, err := Open(dir, Options{SegmentSize: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	for i := 1; i <= 40; i++ {
-		st.Append(snip(event.SnippetID(i), "nyt", i%28+1, "UKR"))
-	}
-	done := make(chan error, 2)
-	go func() {
-		for i := 41; i <= 80; i++ {
-			if err := st.Append(snip(event.SnippetID(i), "nyt", i%28+1, "UKR")); err != nil {
-				done <- err
-				return
-			}
-		}
-		done <- nil
-	}()
-	go func() { done <- st.Compact() }()
-	for i := 0; i < 2; i++ {
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st.Len() != 80 {
-		t.Fatalf("Len = %d", st.Len())
 	}
 }

@@ -2,10 +2,8 @@ package storage
 
 import (
 	"fmt"
-	"os"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/event"
 )
@@ -26,148 +24,56 @@ const (
 
 // Options configures a Store.
 type Options struct {
-	// SegmentSize is the rotation threshold in bytes (default 64 MiB).
-	SegmentSize int64
 	// Sync selects the durability policy (default SyncNever).
 	Sync SyncPolicy
 	// SyncEvery is the batch size for SyncBatch (default 256).
 	SyncEvery int
-	// Tier, when non-nil, replaces the flat log + fully-resident indexes
-	// with the chunked hot/warm/cold store: only per-chunk metadata stays
-	// in memory and snippet payloads are fetched from their tier on
-	// demand. See TierOptions. Accessors behave identically except that
-	// All returns display-text-stripped snippets (callers hydrate via
-	// SnippetText) and per-snippet reads may touch disk.
-	Tier *TierOptions
+	// Tier sizes the chunk tiers; its zero value selects the defaults
+	// (see TierOptions).
+	Tier TierOptions
 }
 
 func (o Options) withDefaults() Options {
-	if o.SegmentSize <= 0 {
-		o.SegmentSize = 64 << 20
-	}
 	if o.SyncEvery <= 0 {
 		o.SyncEvery = 256
 	}
 	return o
 }
 
-// Store is the embedded event repository. All snippets are persisted in an
-// append-only segmented log and indexed in memory by ID, time, source, and
-// entity. A Store is safe for concurrent use.
+// Store is the embedded event repository. Snippets are persisted in
+// fixed-row, CRC-framed chunk files that age through hot/warm/cold
+// tiers (see TierStore); only per-chunk metadata stays resident, and
+// per-snippet reads are served from whichever tier holds the chunk. A
+// Store is safe for concurrent use.
 type Store struct {
-	dir  string
-	opts Options
-
 	mu           sync.RWMutex
-	active       *segment
 	closed       bool
-	sinceSync    int
-	frameBuf     []byte
 	recoveryDrop int64    // bytes dropped from torn tails at open
-	warnings     []string // partial-corruption findings from replay at open
-
-	// Indexes. byTime is kept sorted by (timestamp, ID); the common append
-	// pattern is mostly-chronological so insertion is near the end.
-	// In tiered mode these stay nil and tier serves every lookup.
-	byID     map[event.SnippetID]*event.Snippet
-	byTime   []*event.Snippet
-	bySource map[event.SourceID][]*event.Snippet
-	byEntity map[event.Entity][]*event.Snippet
-	tier     *TierStore
+	warnings     []string // partial-corruption findings from recovery at open
+	tier         *TierStore
 }
 
-// Open opens (creating if necessary) a store in dir, replaying all
-// segments to rebuild the indexes. Partial corruption does not fail the
-// open; it is surfaced instead: torn tails from a previous crash are
-// truncated (RecoveredDrop reports how many bytes were discarded),
-// well-framed records whose payload no longer decodes are skipped, and
-// every such finding is recorded in RecoveryWarnings and counted in the
-// obs registry.
+// Open opens (creating if necessary) a store in dir, recovering the
+// chunk files and importing any legacy flat-log segments (seg-*.log) a
+// store written before the chunk layout left behind. Partial corruption
+// does not fail the open; it is surfaced instead: torn tails from a
+// previous crash are truncated (RecoveredDrop reports how many bytes
+// were discarded), well-framed records whose payload no longer decodes
+// are skipped, and every such finding is recorded in RecoveryWarnings
+// and counted in the obs registry.
 func Open(dir string, opts Options) (*Store, error) {
 	span := metOpenLat.Start()
 	defer span.End()
 	opts = opts.withDefaults()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	s := &Store{
-		dir:      dir,
-		opts:     opts,
-		byID:     make(map[event.SnippetID]*event.Snippet),
-		bySource: make(map[event.SourceID][]*event.Snippet),
-		byEntity: make(map[event.Entity][]*event.Snippet),
-	}
-	if opts.Tier != nil {
-		t, err := openTierStore(dir, *opts.Tier, opts.Sync, opts.SyncEvery)
-		if err != nil {
-			return nil, err
-		}
-		// Carry a pre-tiering corpus forward: any flat-log segments in
-		// the directory are replayed into chunks (idempotently).
-		if err := t.importSegments(dir); err != nil {
-			t.Close()
-			return nil, err
-		}
-		s.tier = t
-		s.warnings = append(s.warnings, t.warnings...)
-		s.recoveryDrop += t.dropped
-		s.byID, s.bySource, s.byEntity = nil, nil, nil
-		return s, nil
-	}
-	indices, err := listSegments(dir)
+	t, err := openTierStore(dir, opts.Tier, opts.Sync, opts.SyncEvery)
 	if err != nil {
 		return nil, err
 	}
-	for _, idx := range indices {
-		corrupt := 0
-		dropped, err := scanSegment(segmentPath(dir, idx), func(payload []byte) error {
-			metReplayed.Inc()
-			sn, derr := event.Decode(payload)
-			if derr != nil {
-				// The frame's CRC was intact but the payload is not a
-				// snippet: logical corruption (or a foreign writer).
-				// Dropping one record loses one snippet; failing the
-				// open loses the store. Skip, count, and report.
-				corrupt++
-				metReplayCorrupt.Inc()
-				return nil
-			}
-			// Replay is idempotent: a crash mid-compaction can leave the
-			// same record in two segments; the first occurrence wins.
-			if _, dup := s.byID[sn.ID]; dup {
-				return nil
-			}
-			s.indexLocked(sn)
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		if corrupt > 0 {
-			s.warnings = append(s.warnings, fmt.Sprintf(
-				"segment %d: skipped %d well-framed records with undecodable payloads", idx, corrupt))
-		}
-		if dropped > 0 {
-			metReplayTornBytes.Add(uint64(dropped))
-			s.warnings = append(s.warnings, fmt.Sprintf(
-				"segment %d: truncated %d torn-tail bytes", idx, dropped))
-		}
-		s.recoveryDrop += dropped
-	}
-	// Replay may leave byTime unsorted if ingestion was out of order
-	// across segments; normalise once.
-	sort.Sort(event.ByTimestamp(s.byTime))
-
-	next := 1
-	if len(indices) > 0 {
-		next = indices[len(indices)-1]
-	}
-	seg, err := openSegmentForAppend(dir, next)
-	if err != nil {
+	if err := t.importSegments(dir); err != nil {
+		t.Close()
 		return nil, err
 	}
-	s.active = seg
-	return s, nil
+	return &Store{tier: t, warnings: t.warnings, recoveryDrop: t.dropped}, nil
 }
 
 // RecoveredDrop returns the number of torn-tail bytes truncated at Open.
@@ -178,16 +84,17 @@ func (s *Store) RecoveredDrop() int64 {
 }
 
 // RecoveryWarnings returns a copy of the partial-corruption findings
-// from the replay at Open: torn tails truncated and undecodable records
-// skipped. An empty list means the log replayed clean.
+// from recovery at Open (torn tails truncated, undecodable records
+// skipped, legacy segments imported) plus any read failure since. An
+// empty list means the store opened clean.
 func (s *Store) RecoveryWarnings() []string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return append([]string(nil), s.warnings...)
 }
 
-// Append validates, persists, and indexes a snippet. The snippet must have
-// a unique ID; duplicate IDs are rejected.
+// Append validates and persists a snippet. The snippet must have a
+// unique ID; duplicate IDs are rejected.
 func (s *Store) Append(sn *event.Snippet) error {
 	if err := sn.Validate(); err != nil {
 		return err
@@ -198,134 +105,45 @@ func (s *Store) Append(sn *event.Snippet) error {
 	if s.closed {
 		return ErrClosed
 	}
-	if s.tier != nil {
-		if s.tier.Has(sn.ID) {
-			return fmt.Errorf("%w %d", ErrDuplicate, sn.ID)
-		}
-		if err := s.tier.Append(sn); err != nil {
-			return err
-		}
-		span.End()
-		return nil
-	}
-	if _, dup := s.byID[sn.ID]; dup {
+	if s.tier.Has(sn.ID) {
 		return fmt.Errorf("%w %d", ErrDuplicate, sn.ID)
 	}
-	s.frameBuf = appendRecord(s.frameBuf[:0], event.AppendEncode(nil, sn))
-	if err := s.active.append(s.frameBuf); err != nil {
+	if err := s.tier.Append(sn); err != nil {
 		return err
 	}
-	switch s.opts.Sync {
-	case SyncAlways:
-		if err := s.active.sync(); err != nil {
-			return err
-		}
-		metSyncs.Inc()
-	case SyncBatch:
-		if s.sinceSync++; s.sinceSync >= s.opts.SyncEvery {
-			if err := s.active.sync(); err != nil {
-				return err
-			}
-			metSyncs.Inc()
-			s.sinceSync = 0
-		}
-	}
-	if s.active.size >= s.opts.SegmentSize {
-		if err := s.rotateLocked(); err != nil {
-			return err
-		}
-	}
-	metAppends.Inc()
-	metAppendBytes.Add(uint64(len(s.frameBuf)))
-	s.indexLocked(sn.Clone())
 	span.End()
 	return nil
 }
 
-func (s *Store) rotateLocked() error {
-	if err := s.active.sync(); err != nil {
-		return err
-	}
-	if err := s.active.close(); err != nil {
-		return err
-	}
-	seg, err := openSegmentForAppend(s.dir, s.active.index+1)
-	if err != nil {
-		return err
-	}
-	s.active = seg
-	metRotations.Inc()
-	return nil
-}
-
-func (s *Store) indexLocked(sn *event.Snippet) {
-	s.byID[sn.ID] = sn
-	// Insert into byTime maintaining order; appends are usually in order.
-	n := len(s.byTime)
-	if n == 0 || !lessSnip(sn, s.byTime[n-1]) {
-		s.byTime = append(s.byTime, sn)
-	} else {
-		i := sort.Search(n, func(i int) bool { return lessSnip(sn, s.byTime[i]) })
-		s.byTime = append(s.byTime, nil)
-		copy(s.byTime[i+1:], s.byTime[i:])
-		s.byTime[i] = sn
-	}
-	s.bySource[sn.Source] = append(s.bySource[sn.Source], sn)
-	for _, e := range sn.Entities {
-		s.byEntity[e] = append(s.byEntity[e], sn)
-	}
-}
-
-func lessSnip(a, b *event.Snippet) bool {
-	if !a.Timestamp.Equal(b.Timestamp) {
-		return a.Timestamp.Before(b.Timestamp)
-	}
-	return a.ID < b.ID
-}
-
-// Get returns the snippet with the given ID, or nil if absent. In
-// tiered mode the snippet is decoded from its chunk (a fresh copy per
-// call) and a read failure surfaces as nil plus a recovery warning.
+// Get returns the snippet with the given ID, or nil if absent. The
+// snippet is decoded from its chunk (a fresh copy per call); a read
+// failure surfaces as nil plus a recovery warning.
 func (s *Store) Get(id event.SnippetID) *event.Snippet {
-	if s.tier != nil {
-		// Tier reads mutate LRU/promotion state; take the write lock.
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if s.closed {
-			return nil
-		}
-		sn, err := s.tier.Get(id)
-		if err != nil {
-			s.warnings = append(s.warnings, err.Error())
-			return nil
-		}
-		return sn
+	// Tier reads mutate LRU/promotion state; take the write lock.
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return nil
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.byID[id]
+	sn, err := s.tier.Get(id)
+	if err != nil {
+		s.warnings = append(s.warnings, err.Error())
+		return nil
+	}
+	return sn
 }
 
 // SnippetText returns the display text and source document of a stored
-// snippet. It is the hydration point for result rendering when the
-// engine holds text-stripped snippets (tiered mode).
+// snippet. It is the hydration point for result rendering: the engine
+// holds text-stripped snippets.
 func (s *Store) SnippetText(id event.SnippetID) (text, document string, ok bool) {
-	if s.tier != nil {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if s.closed {
-			return "", "", false
-		}
-		sn, err := s.tier.Get(id)
-		if err != nil || sn == nil {
-			return "", "", false
-		}
-		return sn.Text, sn.Document, true
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return "", "", false
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	sn := s.byID[id]
-	if sn == nil {
+	sn, err := s.tier.Get(id)
+	if err != nil || sn == nil {
 		return "", "", false
 	}
 	return sn.Text, sn.Document, true
@@ -335,60 +153,25 @@ func (s *Store) SnippetText(id event.SnippetID) (text, document string, ok bool)
 func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.tier != nil {
-		return int(s.tier.Rows())
-	}
-	return len(s.byID)
+	return int(s.tier.Rows())
 }
 
 // Sources returns the distinct source IDs present, sorted.
 func (s *Store) Sources() []event.SourceID {
 	s.mu.RLock()
-	var out []event.SourceID
-	if s.tier != nil {
-		out = s.tier.SourceIDs()
-	} else {
-		out = make([]event.SourceID, 0, len(s.bySource))
-		for src := range s.bySource {
-			out = append(out, src)
-		}
-	}
+	out := s.tier.SourceIDs()
 	s.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
-// ScanRange invokes fn with every snippet whose timestamp lies in
-// [from, to], in chronological order, stopping early if fn returns false.
-func (s *Store) ScanRange(from, to time.Time, fn func(*event.Snippet) bool) {
-	if s.tier != nil {
-		for _, sn := range s.scanTier(func(sn *event.Snippet) bool {
-			return !sn.Timestamp.Before(from) && !sn.Timestamp.After(to)
-		}, true) {
-			if !fn(sn) {
-				return
-			}
-		}
-		return
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	lo := sort.Search(len(s.byTime), func(i int) bool {
-		return !s.byTime[i].Timestamp.Before(from)
-	})
-	for i := lo; i < len(s.byTime); i++ {
-		if s.byTime[i].Timestamp.After(to) {
-			return
-		}
-		if !fn(s.byTime[i]) {
-			return
-		}
-	}
-}
-
-// scanTier collects the snippets matching keep from every chunk,
-// chronologically sorted when chrono is set (chunk order otherwise).
-func (s *Store) scanTier(keep func(*event.Snippet) bool, chrono bool) []*event.Snippet {
+// All returns every snippet in chronological order. The returned
+// snippets carry entities, terms, and timestamps but have their display
+// text and source document stripped — replay and identification never
+// read them, and keeping 10M text bodies out of one slice is the whole
+// point of the tiers. Callers that render text hydrate through
+// SnippetText.
+func (s *Store) All() []*event.Snippet {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -396,89 +179,29 @@ func (s *Store) scanTier(keep func(*event.Snippet) bool, chrono bool) []*event.S
 	}
 	var out []*event.Snippet
 	err := s.tier.Scan(func(sn *event.Snippet) error {
-		if keep == nil || keep(sn) {
-			out = append(out, sn)
-		}
+		sn.Text, sn.Document = "", ""
+		out = append(out, sn)
 		return nil
 	})
 	if err != nil {
 		s.warnings = append(s.warnings, err.Error())
 	}
 	s.mu.Unlock()
-	if chrono {
-		sort.Sort(event.ByTimestamp(out))
-	}
-	return out
-}
-
-// BySource returns the snippets of a source in insertion order. The
-// returned slice is a copy.
-func (s *Store) BySource(src event.SourceID) []*event.Snippet {
-	if s.tier != nil {
-		return s.scanTier(func(sn *event.Snippet) bool { return sn.Source == src }, false)
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return append([]*event.Snippet(nil), s.bySource[src]...)
-}
-
-// ByEntity returns the snippets mentioning the entity, chronologically.
-func (s *Store) ByEntity(e event.Entity) []*event.Snippet {
-	if s.tier != nil {
-		return s.scanTier(func(sn *event.Snippet) bool {
-			for _, se := range sn.Entities {
-				if se == e {
-					return true
-				}
-			}
-			return false
-		}, true)
-	}
-	s.mu.RLock()
-	out := append([]*event.Snippet(nil), s.byEntity[e]...)
-	s.mu.RUnlock()
 	sort.Sort(event.ByTimestamp(out))
 	return out
 }
 
-// All returns every snippet in chronological order (a copy). In tiered
-// mode the returned snippets carry entities, terms, and timestamps but
-// have their display text and source document stripped — replay and
-// identification never read them, and keeping 10M text bodies out of
-// one slice is the whole point of the tiers. Callers that render text
-// hydrate through SnippetText.
-func (s *Store) All() []*event.Snippet {
-	if s.tier != nil {
-		return s.scanTier(func(sn *event.Snippet) bool {
-			sn.Text, sn.Document = "", ""
-			return true
-		}, true)
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return append([]*event.Snippet(nil), s.byTime...)
-}
-
-// Tiered reports whether the store runs the chunked hot/warm/cold tiers.
-func (s *Store) Tiered() bool { return s.tier != nil }
-
-// TierStats summarises chunk tier occupancy; ok is false when tiering
-// is off.
+// TierStats summarises chunk tier occupancy. ok is always true; the
+// pair shape matches Pipeline.TierStats, which reports false when no
+// store is configured.
 func (s *Store) TierStats() (TierStats, bool) {
-	if s.tier == nil {
-		return TierStats{}, false
-	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.tier.Stats(), true
 }
 
-// TierManifestJSON serialises the live chunk manifest for checkpoint v3;
-// nil when tiering is off.
+// TierManifestJSON serialises the live chunk manifest for checkpoint v3.
 func (s *Store) TierManifestJSON() ([]byte, error) {
-	if s.tier == nil {
-		return nil, nil
-	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.tier.ManifestJSON()
@@ -488,7 +211,7 @@ func (s *Store) TierManifestJSON() ([]byte, error) {
 // chunk state, returning divergence findings (the chunks themselves
 // already self-healed at Open).
 func (s *Store) TierReconcile(manifest []byte) []string {
-	if s.tier == nil || len(manifest) == 0 {
+	if len(manifest) == 0 {
 		return nil
 	}
 	s.mu.Lock()
@@ -496,17 +219,14 @@ func (s *Store) TierReconcile(manifest []byte) []string {
 	return s.tier.ReconcileManifest(manifest)
 }
 
-// Sync forces an fsync of the active segment (or open chunk).
+// Sync forces an fsync of the open chunk.
 func (s *Store) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
-	if s.tier != nil {
-		return s.tier.Sync()
-	}
-	return s.active.sync()
+	return s.tier.Sync()
 }
 
 // Close syncs and closes the store. Further operations return ErrClosed.
@@ -517,12 +237,5 @@ func (s *Store) Close() error {
 		return ErrClosed
 	}
 	s.closed = true
-	if s.tier != nil {
-		return s.tier.Close()
-	}
-	if err := s.active.sync(); err != nil {
-		s.active.close()
-		return err
-	}
-	return s.active.close()
+	return s.tier.Close()
 }

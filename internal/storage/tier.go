@@ -17,11 +17,11 @@ import (
 	"repro/internal/obs"
 )
 
-// Tiered chunk storage. In tiered mode the flat segment log is replaced
-// by fixed-row chunk files under <dir>/chunks/: every append goes into
-// the open chunk (the same CRC framing as the segment log, so a crash
-// can only tear the final record), and sealed chunks migrate through
-// three tiers as they age:
+// Tiered chunk storage, the Store's only layout. Snippets live in
+// fixed-row chunk files under <dir>/chunks/: every append goes into the
+// open chunk (the same CRC framing as the archive and DLQ segments, so a
+// crash can only tear the final record), and sealed chunks migrate
+// through three tiers as they age:
 //
 //	hot   — the newest sealed chunks, raw bytes resident in memory;
 //	warm  — older chunks mmap'd read-only (page cache owns the bytes);
@@ -49,9 +49,9 @@ const (
 	tierCold
 )
 
-// TierOptions configures the tiered chunk store. The zero value of every
-// field selects a sensible default; tiering as a whole is enabled by
-// setting Options.Tier to a non-nil TierOptions.
+// TierOptions sizes the chunk tiers. The zero value of every field
+// selects its default; an all-hot configuration (HotChunks large enough
+// to hold every sealed chunk) keeps the whole corpus resident.
 type TierOptions struct {
 	// ChunkRows is the number of snippets per sealed chunk (default 4096).
 	ChunkRows int
@@ -1012,30 +1012,6 @@ func (t *TierStore) Scan(fn func(*event.Snippet) error) error {
 	return nil
 }
 
-// ScanOverlap is Scan restricted to chunks whose event-time bounds
-// intersect [fromNS, toNS].
-func (t *TierStore) ScanOverlap(fromNS, toNS int64, fn func(*event.Snippet) error) error {
-	for _, c := range t.chunks {
-		if c.rows == 0 || c.minTS > toNS || c.maxTS < fromNS {
-			continue
-		}
-		data, offs, err := t.rowBytes(c)
-		if err != nil {
-			return err
-		}
-		for _, off := range offs {
-			sn, derr := event.Decode(framePayload(data, off))
-			if derr != nil {
-				continue
-			}
-			if err := fn(sn); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // Rows returns the number of stored snippets.
 func (t *TierStore) Rows() int64 { return t.rows }
 
@@ -1169,10 +1145,14 @@ func (t *TierStore) Close() error {
 	return first
 }
 
-// importSegments replays legacy flat-log segments (seg-*.log) found in
-// the parent directory into the chunk store, so a store created before
-// tiering was enabled carries its corpus forward. Records already
-// present in a chunk are skipped, making the import idempotent.
+// importSegments replays legacy flat-log segments (seg-*.log), written
+// by stores that predate the chunk layout, into the chunk store so the
+// corpus carries forward. Records already present in a chunk are
+// skipped, making the import idempotent; the segment files stay where
+// they are. Like any replay it reports what it could not carry: a
+// well-framed record whose payload does not decode is skipped and
+// counted, and a torn tail is truncated and counted, each with a
+// per-segment warning.
 func (t *TierStore) importSegments(dir string) error {
 	indices, err := listSegments(dir)
 	if err != nil {
@@ -1180,9 +1160,12 @@ func (t *TierStore) importSegments(dir string) error {
 	}
 	imported := 0
 	for _, idx := range indices {
+		corrupt := 0
 		dropped, err := scanSegment(segmentPath(dir, idx), func(payload []byte) error {
+			metReplayed.Inc()
 			sn, derr := event.Decode(payload)
 			if derr != nil {
+				corrupt++
 				metReplayCorrupt.Inc()
 				return nil
 			}
@@ -1195,7 +1178,16 @@ func (t *TierStore) importSegments(dir string) error {
 		if err != nil {
 			return err
 		}
-		t.dropped += dropped
+		if corrupt > 0 {
+			t.warnings = append(t.warnings, fmt.Sprintf(
+				"segment %d: skipped %d well-framed records with undecodable payloads", idx, corrupt))
+		}
+		if dropped > 0 {
+			metReplayTornBytes.Add(uint64(dropped))
+			t.warnings = append(t.warnings, fmt.Sprintf(
+				"segment %d: truncated %d torn-tail bytes", idx, dropped))
+			t.dropped += dropped
+		}
 	}
 	if imported > 0 {
 		t.warnings = append(t.warnings, fmt.Sprintf(

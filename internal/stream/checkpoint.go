@@ -24,9 +24,9 @@ import (
 type Checkpoint struct {
 	Version int                                 `json:"version"`
 	Sources map[event.SourceID]SourceCheckpoint `json:"sources"`
-	// Tier carries the tiered store's chunk manifest (version 3). The
+	// Tier carries the event store's chunk manifest (version 3). The
 	// stream layer treats it as opaque: the pipeline fills it in when
-	// tiered storage is enabled and hands it back to the store at
+	// storage is enabled and hands it back to the store at
 	// restore, which reconciles it against the on-disk chunks the same
 	// way retire's archive reconcile works.
 	Tier json.RawMessage `json:"tier,omitempty"`

@@ -12,14 +12,13 @@ import (
 
 // config collects everything New needs; Options mutate it.
 type config struct {
-	stream      stream.Options
-	gazetteer   *extract.Gazetteer
-	kb          *kb.KB
-	bigrams     bool
-	storageDir  string
-	storageOpt  storage.Options
-	scanQueries bool
-	retire      retire.Config
+	stream     stream.Options
+	gazetteer  *extract.Gazetteer
+	kb         *kb.KB
+	bigrams    bool
+	storageDir string
+	storageOpt storage.Options
+	retire     retire.Config
 }
 
 // Option configures a Pipeline.
@@ -109,9 +108,17 @@ func WithBigrams(on bool) Option {
 	return func(c *config) { c.bigrams = on }
 }
 
-// WithStorage persists every ingested snippet to a crash-safe event store
-// in dir; on reopening a pipeline over the same directory the snippets are
-// replayed through identification so state survives restarts.
+// WithStorage persists every ingested snippet to a crash-safe chunked
+// event store in dir; on reopening a pipeline over the same directory
+// the snippets are replayed through identification so state survives
+// restarts. The store keeps snippet payloads in fixed-row chunk files
+// that age from memory (hot) to mmap (warm) to disk (cold), so resident
+// memory stops scaling with corpus size. The engine then holds
+// display-text-stripped snippets: Text and Document are empty on the
+// snippets results carry, and callers hydrate them through SnippetText
+// (the HTTP server does, so its responses are unchanged). A directory
+// written by the earlier flat segment log (seg-*.log) is imported on
+// open.
 func WithStorage(dir string) Option {
 	return func(c *config) { c.storageDir = dir }
 }
@@ -122,58 +129,37 @@ func WithStorageSync(policy int) Option {
 	return func(c *config) { c.storageOpt.Sync = storage.SyncPolicy(policy) }
 }
 
-// WithTieredStorage switches the event store to the chunked
-// hot/warm/cold layout: snippet payloads live in fixed-row chunk files,
-// the newest hotChunks sealed chunks stay resident in memory, the next
-// warmChunks are mmap'd read-only, and older chunks go cold on disk
-// (gzip-compressed when compress is set) with on-demand inflation.
-// The engine then holds display-text-stripped snippets and query
-// responses hydrate text through the pipeline's SnippetReader, so
-// resident memory stops scaling with corpus size while responses stay
-// byte-identical. Values ≤ 0 select the defaults (4 hot, 16 warm).
-// Requires WithStorage.
+// WithTieredStorage tunes the store's tiers: the newest hotChunks
+// sealed chunks stay resident in memory, the next warmChunks are mmap'd
+// read-only, and older chunks go cold on disk (gzip-compressed when
+// compress is set) with on-demand inflation. Values ≤ 0 select the
+// defaults (4 hot, 16 warm). Requires WithStorage.
 func WithTieredStorage(hotChunks, warmChunks int, compress bool) Option {
 	return func(c *config) {
-		t := ensureTier(c)
+		t := &c.storageOpt.Tier
 		t.HotChunks = hotChunks
 		t.WarmChunks = warmChunks
 		t.Compress = compress
 	}
 }
 
-// WithTierChunkRows sets the rows per chunk of the tiered store
-// (default 4096); mainly for tests and benchmarks that need tier
-// transitions at small corpus sizes. Implies tiered storage.
+// WithTierChunkRows tunes the rows per chunk of the store (default
+// 4096); mainly for tests and benchmarks that need tier transitions at
+// small corpus sizes. Requires WithStorage.
 func WithTierChunkRows(n int) Option {
-	return func(c *config) { ensureTier(c).ChunkRows = n }
+	return func(c *config) { c.storageOpt.Tier.ChunkRows = n }
 }
 
-// WithTierColdCache sets how many inflated cold chunks the tiered store
-// keeps in its LRU (default 2), and after how many faults a cold chunk
-// is promoted back to the warm tier (default 4; negative disables).
-// Implies tiered storage.
+// WithTierColdCache tunes how many inflated cold chunks the store keeps
+// in its LRU (default 2), and after how many faults a cold chunk is
+// promoted back to the warm tier (default 4; negative disables).
+// Requires WithStorage.
 func WithTierColdCache(chunks, promoteAfter int) Option {
 	return func(c *config) {
-		t := ensureTier(c)
+		t := &c.storageOpt.Tier
 		t.ColdCache = chunks
 		t.PromoteAfter = promoteAfter
 	}
-}
-
-func ensureTier(c *config) *storage.TierOptions {
-	if c.storageOpt.Tier == nil {
-		c.storageOpt.Tier = &storage.TierOptions{}
-	}
-	return c.storageOpt.Tier
-}
-
-// WithScanQueries serves Search/StoriesByEntity/Timeline from the
-// legacy full-scan implementations instead of the incremental query
-// index. The scan path is the correctness oracle: it is what the
-// differential tests compare the indexed path against. Production
-// serving should leave this off.
-func WithScanQueries(on bool) Option {
-	return func(c *config) { c.scanQueries = on }
 }
 
 // WithRetireWindow enables sliding-window story retirement: a story

@@ -44,14 +44,8 @@ type Pipeline struct {
 	kb             *KnowledgeBase
 	index          *index.Index
 	retire         *retire.Manager // nil unless WithRetireWindow; immutable after New
-	scanQueries    bool
 	checkpointPath string
-	// stripText marks tiered storage: the engine (and so the query
-	// index, stories, and archive) holds snippets with display text and
-	// source document removed, and rendering hydrates through
-	// SnippetText. Immutable after New.
-	stripText bool
-	warnings  []string // recovery findings from New (immutable after)
+	warnings       []string // recovery findings from New (immutable after)
 
 	mu     sync.Mutex
 	store  *storage.Store
@@ -80,7 +74,6 @@ func New(opts ...Option) (*Pipeline, error) {
 		kb:        cfg.kb,
 	}
 	p.extractor.Bigrams = cfg.bigrams
-	p.stripText = cfg.storageOpt.Tier != nil
 	if cfg.retire.Window > 0 {
 		if cfg.retire.Dir == "" {
 			if cfg.storageDir == "" {
@@ -165,11 +158,9 @@ func New(opts ...Option) (*Pipeline, error) {
 	}
 	// The query index attaches after the engine is final (restore may
 	// have replaced it) so its first publish sees whatever result the
-	// engine already computed. It is maintained even under
-	// WithScanQueries so the two paths can be compared on one pipeline.
+	// engine already computed.
 	p.index = index.New(index.Options{})
 	p.index.StartCompactor(0)
-	p.scanQueries = cfg.scanQueries
 	p.engine.SetResultSink(p.index)
 	return p, nil
 }
@@ -223,7 +214,7 @@ func (p *Pipeline) tryRestore(opts stream.Options, snippets []*Snippet) (*stream
 		p.retire.Reconcile(keep)
 	}
 	if len(cp.Tier) > 0 {
-		// Checkpoint v3 carries the chunk manifest of the tiered store.
+		// Checkpoint v3 carries the store's chunk manifest.
 		// The chunks already self-healed when the store opened; the
 		// reconcile surfaces what changed behind the checkpoint's back
 		// (a chunk vanished, rows truncated) as recovery warnings.
@@ -233,7 +224,7 @@ func (p *Pipeline) tryRestore(opts stream.Options, snippets []*Snippet) (*stream
 }
 
 // RecoveryWarnings returns the partial-corruption findings collected
-// while New opened the store and rebuilt state: torn segment tails,
+// while New opened the store and rebuilt state: torn chunk tails,
 // undecodable records, and checkpoint restores that fell back to
 // replay. Empty means recovery was clean (or storage is disabled).
 func (p *Pipeline) RecoveryWarnings() []string {
@@ -322,11 +313,11 @@ func (p *Pipeline) Ingest(sn *Snippet) error {
 		}
 	}
 	eng := sn
-	if p.stripText && (sn.Text != "" || sn.Document != "") {
-		// Tiered storage: the store holds the full payload; everything
-		// downstream of it (engine, index, archive) gets a copy with the
-		// display-only fields stripped so resident story state stops
-		// scaling with text size. Rendering hydrates via SnippetText.
+	if st != nil && (sn.Text != "" || sn.Document != "") {
+		// The store holds the full payload; everything downstream of it
+		// (engine, index, archive) gets a copy with the display-only
+		// fields stripped so resident story state stops scaling with
+		// text size. Rendering hydrates via SnippetText.
 		eng = sn.Clone()
 		eng.Text, eng.Document = "", ""
 	}
@@ -404,8 +395,8 @@ func (p *Pipeline) Snippet(id SnippetID) *Snippet {
 }
 
 // SnippetReader hydrates display text for result rendering. Under
-// tiered storage the engine's resident snippets carry no text; views
-// fetch it from the snippet's storage tier on demand.
+// WithStorage the engine's resident snippets carry no text; views fetch
+// it from the snippet's storage tier on demand.
 type SnippetReader interface {
 	SnippetText(id SnippetID) (text, document string, ok bool)
 }
@@ -425,8 +416,8 @@ func (p *Pipeline) SnippetText(id SnippetID) (text, document string, ok bool) {
 	return st.SnippetText(id)
 }
 
-// TierStats reports the tiered store's chunk occupancy and fault
-// counters; ok is false when tiered storage is not enabled.
+// TierStats reports the store's chunk occupancy and fault counters; ok
+// is false without WithStorage.
 func (p *Pipeline) TierStats() (storage.TierStats, bool) {
 	p.mu.Lock()
 	st := p.store

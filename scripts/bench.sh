@@ -309,15 +309,15 @@ END {
 echo "==> wrote $WOUT"
 cat "$WOUT"
 
-# --- GDELT scale: tiered vs flat store at 1M/5M/10M snippets --------------
+# --- GDELT scale: the tiered store at 1M/5M/10M snippets -----------------
 #
 # One iteration ingests the whole corpus into a fresh store and then
-# probes random reads across the full ID space. The headline numbers are
-# the 1M→10M heap ratios per arm: the tiered store's heap must stay flat
-# (hot tier + chunk metadata only; warm chunks are mmap'd and cold
-# chunks live on disk) while the flat store grows with the corpus.
+# probes random reads across the full ID space. The headline number is
+# the 1M→10M heap ratio: the store's heap must stay flat (hot tier +
+# chunk metadata only; warm chunks are mmap'd and cold chunks live on
+# disk).
 
-go test -run '^$' -bench 'BenchmarkScale(Tiered|Flat)(1M|5M|10M)$' \
+go test -run '^$' -bench 'BenchmarkScaleTiered(1M|5M|10M)$' \
     -timeout 60m -benchtime=1x ./internal/storage | tee "$TMP"
 
 awk '
@@ -335,14 +335,11 @@ awk '
     }
     if (name ~ /Tiered1M$/)  t1 = heap
     if (name ~ /Tiered10M$/) t10 = heap
-    if (name ~ /Flat1M$/)    f1 = heap
-    if (name ~ /Flat10M$/)   f10 = heap
     rows[++n] = sprintf("  {\"benchmark\": \"%s\", \"ingest_ns_per_event\": %s, \"heap_mb\": %s, \"read_us\": %s, \"read_p50_us\": %s, \"read_p99_us\": %s, \"cold_chunks\": %s}", name, ev, heap, mean, p50, p99, cold)
 }
 END {
     tr = (t1 != "" && t1 + 0 > 0) ? sprintf("%.2f", t10 / t1) : "null"
-    fr = (f1 != "" && f1 + 0 > 0) ? sprintf("%.2f", f10 / f1) : "null"
-    rows[++n] = sprintf("  {\"tiered_heap_10m_vs_1m\": %s, \"flat_heap_10m_vs_1m\": %s}", tr, fr)
+    rows[++n] = sprintf("  {\"tiered_heap_10m_vs_1m\": %s}", tr)
     print "["
     for (i = 1; i <= n; i++) print rows[i] (i < n ? "," : "")
     print "]"
